@@ -84,19 +84,32 @@ std::vector<std::vector<std::size_t>> make_shards(const VerifyPlan& plan,
 }  // namespace
 
 BatchAlgebra build_batch_algebra(const topo::Topology& topo,
-                                 std::shared_ptr<const PlanBundle> bundle) {
+                                 std::shared_ptr<const PlanBundle> bundle,
+                                 Executor* executor) {
   const auto start = std::chrono::steady_clock::now();
   BatchAlgebra algebra;
   algebra.bundle = std::move(bundle);
   const topo::ConfigView base{topo};
   const auto& obligations = algebra.bundle->plan.obligations();
   algebra.before.resize(obligations.size());
-  for (const Obligation& o : obligations) {
-    auto& sets = algebra.before[o.index];
+  // Each task writes only its own obligation's slot of `before`.
+  const auto build = [&](std::size_t index) {
+    const Obligation& o = obligations[index];
+    auto& sets = algebra.before[index];
     sets.reserve(o.paths.size());
     for (const std::size_t p : o.paths) {
       sets.push_back(clipped_path_set(base, algebra.bundle->paths[p], *o.fec));
     }
+  };
+  if (executor != nullptr && executor->threads() > 1 && obligations.size() > 1) {
+    (void)executor->run(obligations.size(), [&](std::size_t) {
+      return [&](std::size_t index, const CancellationToken&) {
+        build(index);
+        return false;
+      };
+    });
+  } else {
+    for (std::size_t i = 0; i < obligations.size(); ++i) build(i);
   }
   algebra.build_seconds = seconds_since(start);
   return algebra;

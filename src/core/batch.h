@@ -1,10 +1,11 @@
-// Set-algebra batch execution for coalesced check-only jobs.
+// Set-algebra execution for served check-only jobs.
 //
-// A coalesced dispatch unit is a group of pure-check jobs against the same
-// (snapshot version, scope, entering traffic) — i.e. the same PlanBundle.
-// Running each through its own engine repays the fixed costs (SMT context,
-// session compile, first-query warmup) once per job; this module amortizes
-// them once per *version* instead. The per-(obligation, path) before-side
+// The service answers every pure-check dispatch unit here: a lone job or a
+// coalesced group of jobs against the same (snapshot version, scope,
+// entering traffic) — i.e. the same PlanBundle. Running each through its
+// own engine repays the fixed costs (SMT context, session compile,
+// first-query warmup) once per job; this module amortizes them once per
+// *version* instead. The per-(obligation, path) before-side
 // permitted sets are precomputed against the base configuration (they do
 // not depend on any job's update), and each job then only re-walks its
 // *after* side with net::permitted_within, clipped to the obligation's FEC.
@@ -51,8 +52,11 @@ struct BatchAlgebra {
 };
 
 /// Builds the before-side sets for `bundle` against `topo`'s base ACLs.
+/// The obligations are independent, so with an `executor` their sets are
+/// built in parallel (one task per obligation); nullptr builds inline.
 [[nodiscard]] BatchAlgebra build_batch_algebra(const topo::Topology& topo,
-                                               std::shared_ptr<const PlanBundle> bundle);
+                                               std::shared_ptr<const PlanBundle> bundle,
+                                               Executor* executor = nullptr);
 
 /// One job of a coalesced batch.
 struct BatchItem {
@@ -69,8 +73,7 @@ struct BatchItem {
 struct BatchOutcome {
   CheckResult result;
   /// Obligations proven consistent under the job's update (touches() ==
-  /// false, or scanned without a differing path set) — commit these to the
-  /// incremental planner so identical re-checks are query-free.
+  /// false, or scanned without a differing path set).
   std::vector<bool> clean;
   bool cancelled = false;
   bool deadline_expired = false;

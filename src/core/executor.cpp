@@ -165,7 +165,10 @@ void Executor::work(Job& job, std::size_t worker_id) {
     const std::size_t next = range_next(v);
     const std::size_t end = range_end(v);
     if (next >= end) continue;  // raced away; rescan
-    const std::size_t mid = next + (end - next + 1) / 2;
+    // The thief takes [mid, end): the upper half, and the whole range when
+    // one task is left — rounding mid up would hand it the empty [end, end)
+    // and spin on the victim's CAS until the owner came back.
+    const std::size_t mid = next + (end - next) / 2;
     if (job.ranges[victim].compare_exchange_strong(v, pack(next, mid),
                                                    std::memory_order_acq_rel)) {
       job.steals.fetch_add(1, std::memory_order_relaxed);

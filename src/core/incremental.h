@@ -132,16 +132,6 @@ class IncrementalPlanner {
                                          const net::PacketSet& entering,
                                          const topo::AclUpdate& update);
 
-  /// Side-effect-free probe: true when a cached entry for (version, scope,
-  /// entering) holds verdict bits proving every obligation `update` touches
-  /// — i.e. a delta-scoped check would finish without issuing a single
-  /// query. Unlike acquire, this never counts a hit/miss or refreshes LRU
-  /// stamps; the service dispatcher uses it to route such jobs around
-  /// batch coalescing straight onto the fast path.
-  [[nodiscard]] bool peek_fully_clean(std::uint64_t version, const topo::Scope& scope,
-                                      const net::PacketSet& entering,
-                                      const topo::AclUpdate& update) const;
-
   /// Publishes a freshly built bundle for (version, scope). No-op when an
   /// entry already exists (a racing job won) or the planner is disabled.
   void install(std::uint64_t version, const topo::Scope& scope,

@@ -79,7 +79,10 @@ struct JobSpec {
 struct JobOutcome {
   bool success = false;               // EngineReport::success() for Done
   std::string error;                  // Failed: the diagnostic
-  std::optional<core::EngineReport> report;  // Done: the full report
+  /// Done: the full report. Shared and immutable, so status/result copies
+  /// under the scheduler mutex never duplicate the rewritten ACLs of
+  /// final_update.
+  std::shared_ptr<const core::EngineReport> report;
   std::string plan_text;              // Done: the formatted deployable plan
 };
 

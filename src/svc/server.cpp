@@ -93,9 +93,9 @@ Json outcome_json(const JobOutcome& outcome) {
   return Json{std::move(obj)};
 }
 
-/// A program is batch-coalescable (and run_check_only-eligible) when it is
-/// pure verification: at least one command, all of them `check`, and no
-/// control intents (§6 rewrites need the SMT path).
+/// A program is served by the set-algebra batch checker when it is pure
+/// verification: at least one command, all of them `check`, and no control
+/// intents (§6 rewrites need the SMT path).
 bool pure_check(const lai::UpdateTask& task) {
   return !task.commands.empty() && task.controls.empty() &&
          std::all_of(task.commands.begin(), task.commands.end(),
@@ -465,17 +465,21 @@ void Server::connection_loop(int fd, bool needs_auth) {
   constexpr std::size_t kPreAuthMaxLine = 4096;
   bool authed = !needs_auth;
   std::string buffer;
-  char chunk[4096];
+  // buffer[0, scanned) is known to hold no newline: each byte is searched
+  // once, however many reads a large request line takes to arrive.
+  std::size_t scanned = 0;
+  std::vector<char> chunk(64u << 10);
   while (!stop_connections_.load(std::memory_order_acquire)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n =
+        ::recv(fd, chunk.data(), authed ? chunk.size() : kPreAuthMaxLine, 0);
     if (n == 0) break;  // client closed
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
       break;
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    buffer.append(chunk.data(), static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (std::size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       const std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
@@ -528,6 +532,7 @@ void Server::connection_loop(int fd, bool needs_auth) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
     // Unframed garbage; drop the client (tiny budget before auth).
     if (buffer.size() > (authed ? kMaxLine : kPreAuthMaxLine)) break;
   }
@@ -1019,41 +1024,21 @@ void Server::dispatch_loop() {
     if (overlap.joinable()) overlap.join();
   };
   while (true) {
-    std::vector<JobPtr> unit = scheduler_.next_batch(max);
+    const std::vector<JobPtr> unit = scheduler_.next_batch(max);
     if (unit.empty()) {
       join_overlap();
       return;
     }
-    if (unit.size() > 1 && incremental_ != nullptr) {
-      // Fully-clean delta-cache hits bypass the batch: every obligation
-      // their update touches is already a proven verdict, so run_check_only
-      // answers them without a single query — pulling them into the batch
-      // would only re-scan state for answers the cache already holds.
-      std::vector<JobPtr> rest;
-      rest.reserve(unit.size());
-      for (JobPtr& job : unit) {
-        const auto& task = job->spec().task;
-        if (task != nullptr &&
-            incremental_->peek_fully_clean(job->snapshot_version(), task->scope,
-                                           job->snapshot()->traffic, task->modify)) {
-          execute_job(job);
-        } else {
-          rest.push_back(std::move(job));
-        }
-      }
-      unit = std::move(rest);
-    }
-    if (unit.empty()) continue;
-    if (unit.size() == 1) {
-      if (options_.overlap && unit.front()->spec().coalesce_key == 0) {
-        join_overlap();
-        obs::count(obs::Counter::SvcOverlapDispatches);
-        overlap = std::thread([this, job = unit.front()] { execute_job(job); });
-        continue;
-      }
-      execute_job(unit.front());
-    } else {
+    if (unit.front()->spec().coalesce_key != 0) {
+      // Pure checks, alone or coalesced: one scan of the version's cached
+      // set algebra.
       execute_batch(unit);
+    } else if (options_.overlap) {
+      join_overlap();
+      obs::count(obs::Counter::SvcOverlapDispatches);
+      overlap = std::thread([this, job = unit.front()] { execute_job(job); });
+    } else {
+      execute_job(unit.front());
     }
   }
 }
@@ -1084,19 +1069,20 @@ std::shared_ptr<const core::BatchAlgebra> Server::batch_algebra_for(const JobPtr
   const std::uint64_t key = job->spec().coalesce_key;
   if (key == 0 || job->spec().task == nullptr) return nullptr;
   const SnapshotPtr& snapshot = job->snapshot();
+  const lai::UpdateTask& task = *job->spec().task;
+  // Every unit leases its plan, so the delta cache's hit/miss/rebase
+  // accounting covers every check. The empty update asks for the bundle
+  // alone: no cached verdicts, no canonical text of the pending update.
+  std::shared_ptr<const core::PlanBundle> bundle;
+  if (incremental_) {
+    bundle = incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, {}).bundle;
+  }
   {
     const std::lock_guard<std::mutex> lock{batch_mutex_};
     const auto it = batch_algebra_.find(key);
     if (it != batch_algebra_.end() && it->second.version == snapshot->version) {
       return it->second.algebra;
     }
-  }
-  const lai::UpdateTask& task = *job->spec().task;
-  std::shared_ptr<const core::PlanBundle> bundle;
-  if (incremental_) {
-    bundle = incremental_
-                 ->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify)
-                 .bundle;
   }
   if (!bundle) {
     smt::SmtContext smt;
@@ -1105,7 +1091,7 @@ std::shared_ptr<const core::BatchAlgebra> Server::batch_algebra_for(const JobPtr
     if (incremental_) incremental_->install(snapshot->version, task.scope, bundle);
   }
   auto algebra = std::make_shared<const core::BatchAlgebra>(
-      core::build_batch_algebra(*snapshot->topo, std::move(bundle)));
+      core::build_batch_algebra(*snapshot->topo, std::move(bundle), executor_.get()));
   obs::count(obs::Counter::SvcBatchAlgebraBuilds);
   const std::lock_guard<std::mutex> lock{batch_mutex_};
   VersionedAlgebra& slot = batch_algebra_[key];
@@ -1140,9 +1126,13 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
     for (const JobPtr& job : batch) execute_job(job);
     return;
   }
-  obs::count(obs::Counter::SvcBatchDispatches);
-  obs::count(obs::Counter::SvcBatchJobsCoalesced, batch.size());
-  obs::observe(obs::Histogram::SvcBatchSize, batch.size());
+  // A lone job is a one-item scan, not a coalesced unit.
+  const bool coalesced = batch.size() > 1;
+  if (coalesced) {
+    obs::count(obs::Counter::SvcBatchDispatches);
+    obs::count(obs::Counter::SvcBatchJobsCoalesced, batch.size());
+    obs::observe(obs::Histogram::SvcBatchSize, batch.size());
+  }
 
   const SnapshotPtr& snapshot = batch.front()->snapshot();
   std::vector<core::BatchItem> items;
@@ -1172,91 +1162,29 @@ void Server::execute_batch(const std::vector<JobPtr>& batch) {
       continue;
     }
     if (bo.deadline_expired) {
-      // Same diagnostic family as a deadline caught at dispatch: the job
-      // died waiting its turn inside shared execution, not on a solver
-      // budget — never report this as a solver timeout.
+      // The job ran out of budget inside the scan (or waiting for its
+      // batchmates), not on a solver query — never report a solver timeout.
       JobOutcome outcome;
-      outcome.error = "deadline exceeded while queued in a coalesced batch";
+      outcome.error = coalesced ? "deadline exceeded while queued in a coalesced batch"
+                                : "deadline exceeded during the check";
       scheduler_.finish(job, JobState::Failed, std::move(outcome));
       continue;
     }
     const lai::UpdateTask& task = *job->spec().task;
-    core::EngineReport report;
-    report.final_update = task.modify;
+    auto report = std::make_shared<core::EngineReport>();
+    report->final_update = task.modify;
     for (std::size_t c = 0; c < task.commands.size(); ++c) {
       core::CommandOutcome cmd;
       cmd.command = lai::Command::Check;
       cmd.check = bo.result;
-      report.outcomes.push_back(std::move(cmd));
-    }
-    if (incremental_) {
-      // Seed the verdict cache with the obligations this run proved clean,
-      // so a re-check of the same pending update takes the query-free path.
-      incremental_->install(snapshot->version, task.scope, algebra->bundle);
-      incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
-                           bo.clean);
+      report->outcomes.push_back(std::move(cmd));
     }
     JobOutcome outcome;
-    outcome.success = report.success();
-    outcome.plan_text = core::format_plan(*snapshot->topo, report.final_update);
+    outcome.success = report->success();
+    outcome.plan_text = core::format_plan(*snapshot->topo, report->final_update);
     outcome.report = std::move(report);
     scheduler_.finish(job, JobState::Done, std::move(outcome));
   }
-}
-
-bool Server::run_check_only(const JobPtr& job, const lai::UpdateTask& task,
-                            core::EngineReport& report, bool& cancelled) {
-  if (!incremental_) return false;
-  if (!pure_check(task)) return false;
-
-  const SnapshotPtr& snapshot = job->snapshot();
-  core::CheckOptions check = job_check_options();
-
-  // The cached plan for (snapshot version, scope, entering traffic), plus
-  // any obligation verdicts already proven for this exact pending update —
-  // the apply_if_head conflict / re-verify loop hits those directly.
-  core::IncrementalLease lease =
-      incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, task.modify);
-  check.adopted_plan = lease.bundle;
-
-  smt::SmtContext smt;
-  const unsigned default_timeout = check.timeout_ms;
-  core::Checker checker{smt, *snapshot->topo, task.scope, check};
-
-  for (std::size_t c = 0; c < task.commands.size(); ++c) {
-    if (job->cancel_requested()) {
-      cancelled = true;
-      return true;
-    }
-    if (const auto remaining = job->remaining_ms()) {
-      if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
-      const auto budget = static_cast<unsigned>(
-          std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
-      smt.set_timeout_ms(default_timeout == 0 ? budget : std::min(budget, default_timeout));
-    }
-    core::CommandOutcome outcome;
-    outcome.command = lai::Command::Check;
-    if (lease.valid()) {
-      auto incremental = core::run_incremental_check(checker, lease, task.modify);
-      incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
-                           incremental.clean);
-      outcome.check = std::move(incremental.result);
-    } else {
-      outcome.check = checker.check(task.modify, snapshot->traffic, {});
-      incremental_->install(snapshot->version, task.scope,
-                            checker.share_plan(snapshot->traffic));
-      if (outcome.check->consistent) {
-        // A consistent full run proved every obligation — seed the verdict
-        // cache so a re-check of the same pending update is query-free.
-        incremental_->commit(snapshot->version, task.scope, snapshot->traffic, task.modify,
-                             std::vector<bool>(outcome.check->obligation_count, true));
-      }
-      lease = incremental_->acquire(snapshot->version, task.scope, snapshot->traffic,
-                                    task.modify);
-    }
-    report.outcomes.push_back(std::move(outcome));
-  }
-  return true;
 }
 
 void Server::execute_job(const JobPtr& job) {
@@ -1276,63 +1204,57 @@ void Server::execute_job(const JobPtr& job) {
     }
     const lai::UpdateTask& task = *resolved;
 
-    core::EngineReport report;
-    report.final_update = task.modify;
-    bool cancelled = false;
-    // Check-only jobs without control intents take the delta-scoped path:
-    // the verification plan is adopted from the incremental planner (or
-    // built once and installed), and only obligations the update can touch
-    // are proven. Everything else runs the full engine pipeline.
-    if (!run_check_only(job, task, report, cancelled)) {
-      // One fresh engine per job, over the server-wide FEC cache. The cache
-      // is what makes the service warm — equivalence classes derived for a
-      // snapshot by any worker are reused by every later job on that
-      // snapshot — while a fresh SMT session per job keeps answers
-      // reproducible: the same request gets the same verdict and the same
-      // repair plan regardless of what the server ran before (a reused
-      // incremental session can steer Z3 to a different, equally valid,
-      // model).
-      core::EngineOptions engine_options = job_engine_options();
-      // Warm path for fix (and mixed check/fix) jobs: adopt the rebased
-      // plan bundle for (version, scope, traffic) so the engine's checker
-      // and the fixer's candidate loop skip path enumeration and planning.
-      // Control intents change the obligation set, so only intent-free
-      // tasks may adopt.
-      if (incremental_ && task.controls.empty()) {
-        const core::IncrementalLease lease = incremental_->acquire(
-            snapshot->version, task.scope, snapshot->traffic, task.modify);
-        if (lease.bundle) {
-          engine_options.check.adopted_plan = lease.bundle;
-          engine_options.fix.check.adopted_plan = lease.bundle;
-        }
+    auto report = std::make_shared<core::EngineReport>();
+    report->final_update = task.modify;
+    // One fresh engine per job, over the server-wide FEC cache. The cache
+    // is what makes the service warm — equivalence classes derived for a
+    // snapshot by any worker are reused by every later job on that
+    // snapshot — while a fresh SMT session per job keeps answers
+    // reproducible: the same request gets the same verdict and the same
+    // repair plan regardless of what the server ran before (a reused
+    // incremental session can steer Z3 to a different, equally valid,
+    // model).
+    core::EngineOptions engine_options = job_engine_options();
+    // Warm path for fix (and mixed check/fix) jobs: adopt the rebased plan
+    // bundle for (version, scope, traffic) so the engine's checker and the
+    // fixer's candidate loop skip path enumeration and planning. Control
+    // intents change the obligation set, so only intent-free tasks may
+    // adopt. Only the bundle is used, so the lease asks for no verdicts.
+    if (incremental_ && task.controls.empty()) {
+      const core::IncrementalLease lease =
+          incremental_->acquire(snapshot->version, task.scope, snapshot->traffic, {});
+      if (lease.bundle) {
+        engine_options.check.adopted_plan = lease.bundle;
+        engine_options.fix.check.adopted_plan = lease.bundle;
       }
-      core::Engine engine{*snapshot->topo, engine_options};
-      const unsigned default_timeout = engine.smt().timeout_ms();
+    }
+    core::Engine engine{*snapshot->topo, engine_options};
+    const unsigned default_timeout = engine.smt().timeout_ms();
 
-      for (const lai::Command command : task.commands) {
-        // Cooperative cancellation and the deadline budget are both checked
-        // between commands; the remaining budget caps every Z3 query of the
-        // next command via the per-query timeout.
-        if (job->cancel_requested()) {
-          cancelled = true;
-          break;
-        }
-        if (const auto remaining = job->remaining_ms()) {
-          if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
-          const auto budget = static_cast<unsigned>(
-              std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
-          engine.smt().set_timeout_ms(
-              default_timeout == 0 ? budget : std::min(budget, default_timeout));
-        }
-        report.outcomes.push_back(engine.run_command(task, command, report.final_update,
-                                                     snapshot->traffic));
+    bool cancelled = false;
+    for (const lai::Command command : task.commands) {
+      // Cooperative cancellation and the deadline budget are both checked
+      // between commands; the remaining budget caps every Z3 query of the
+      // next command via the per-query timeout.
+      if (job->cancel_requested()) {
+        cancelled = true;
+        break;
       }
+      if (const auto remaining = job->remaining_ms()) {
+        if (*remaining == 0) throw smt::SmtTimeout("job deadline exceeded");
+        const auto budget = static_cast<unsigned>(
+            std::min<std::uint64_t>(*remaining, std::numeric_limits<unsigned>::max()));
+        engine.smt().set_timeout_ms(default_timeout == 0 ? budget
+                                                         : std::min(budget, default_timeout));
+      }
+      report->outcomes.push_back(
+          engine.run_command(task, command, report->final_update, snapshot->traffic));
     }
     if (cancelled || job->cancel_requested()) {
       state = JobState::Cancelled;
     } else {
-      outcome.success = report.success();
-      outcome.plan_text = core::format_plan(*snapshot->topo, report.final_update);
+      outcome.success = report->success();
+      outcome.plan_text = core::format_plan(*snapshot->topo, report->final_update);
       outcome.report = std::move(report);
     }
   } catch (const smt::SmtTimeout& e) {

@@ -2,13 +2,13 @@
 //
 // One process keeps the expensive state warm across requests — a
 // topo::FecCache shared by every engine, the incremental planner's
-// cross-version plan/verdict cache, and per-version batch algebras for
-// coalesced check execution — and serves a stream of check/fix/generate
-// programs over a Unix domain socket. Execution is a dispatcher thread
-// pulling dispatch units (one full-engine job, or a coalesced unit of
-// compatible pure-check jobs) off the scheduler and running them on the
-// server-wide work-stealing core::Executor; see docs/INTERNALS.md
-// "Batched + sharded execution".
+// cross-version plan cache, and per-version batch algebras for
+// check execution — and serves a stream of check/fix/generate programs
+// over a Unix domain socket. Execution is a dispatcher thread pulling
+// dispatch units (one full-engine job, or a unit of one or more compatible
+// pure-check jobs for the set-algebra checker) off the scheduler and
+// running them on the server-wide work-stealing core::Executor; see
+// docs/INTERNALS.md "Batched + sharded execution".
 //
 // Wire protocol: newline-delimited JSON-RPC. One request per line,
 //   {"id": 1, "method": "submit", "params": {...}}
@@ -109,7 +109,7 @@ struct ServerOptions {
   /// Rebase budget for the incremental planner: how many applies a cached
   /// verification plan may be carried across before the next job rebuilds
   /// it from scratch. 0 disables incremental cross-version verification
-  /// (every check-only job builds a fresh engine, the seed behaviour).
+  /// (the first check on every version builds its plan from scratch).
   std::size_t max_delta_chain = 16;
   /// Template for the per-worker engines (threads are forced to 1 — the
   /// workers themselves are the parallelism; the FEC cache is replaced by
@@ -214,28 +214,21 @@ class Server {
 
   void execute_job(const JobPtr& job);
 
-  /// Runs a coalesced unit of pure-check jobs through the set-algebra
-  /// batch checker, sharded over the shared executor. Falls back to
-  /// per-job execute_job when the shared algebra cannot be built.
+  /// Runs a unit of pure-check jobs — one job, or a coalesced group —
+  /// through the set-algebra batch checker, sharded over the shared
+  /// executor. Falls back to per-job execute_job when the shared algebra
+  /// cannot be built.
   void execute_batch(const std::vector<JobPtr>& batch);
 
   /// The per-version batch algebra for the lead job's coalesce family,
-  /// built on first use and cached until the version is released.
+  /// built on first use (plan leased from the incremental planner) and
+  /// cached until the version is released.
   [[nodiscard]] std::shared_ptr<const core::BatchAlgebra> batch_algebra_for(const JobPtr& job);
-
-  /// The delta-scoped fast path for check-only jobs without control
-  /// intents: adopt the cached plan for the job's snapshot (or build and
-  /// install one), execute only the obligations the update can touch, and
-  /// commit the proven verdicts. Returns false when the job is not
-  /// eligible (the caller runs the full engine path).
-  [[nodiscard]] bool run_check_only(const JobPtr& job, const lai::UpdateTask& task,
-                                    core::EngineReport& report, bool& cancelled);
 
   /// The one place per-job engine configuration lives: the template
   /// options with the engine forced single-threaded (Executor::run is
   /// serialized, not reentrant) over the server-wide FEC cache. Shared by
-  /// the full-engine dispatch path, run_check_only, and the batch path's
-  /// plan builds.
+  /// the full-engine dispatch path and the batch path's plan builds.
   [[nodiscard]] core::CheckOptions job_check_options() const;
   [[nodiscard]] core::EngineOptions job_engine_options() const;
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -129,6 +130,40 @@ TEST(Executor, SkewedWorkloadCompletesUnderStealing) {
   const auto stats = executor.run(kCount, factory);
   EXPECT_EQ(stats.executed, kCount);
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+// A thief facing a victim with one task left must take that task, not an
+// empty range: task 0 holds worker 0 until task 1 — the last task of
+// worker 0's range — has run on the other worker. Rounding the split point
+// up used to hand the thief [end, end), so it counted a "steal" and rescanned
+// in a tight loop for as long as the owner was busy, and task 1 only ran once
+// the owner came back for it.
+TEST(Executor, ThiefTakesTheLastTaskOfABusyOwner) {
+  Executor executor{2};  // ranges: worker 0 owns [0, 2), worker 1 owns [2, 3)
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool task1_done = false;
+  std::size_t task1_worker = 0;
+  bool task0_saw_task1 = false;
+  const auto stats = executor.run(3, [&](std::size_t worker_id) -> Executor::Task {
+    return [&, worker_id](std::size_t i, const CancellationToken&) {
+      std::unique_lock<std::mutex> lock{mutex};
+      if (i == 0) {
+        // Bounded, so a regression fails the assertions below instead of
+        // hanging the suite.
+        task0_saw_task1 = cv.wait_for(lock, std::chrono::seconds{10}, [&] { return task1_done; });
+      } else if (i == 1) {
+        task1_done = true;
+        task1_worker = worker_id;
+        cv.notify_all();
+      }
+      return false;
+    };
+  });
+  EXPECT_EQ(stats.executed, 3u);
+  EXPECT_TRUE(task0_saw_task1) << "task 1 never ran while its owner was busy";
+  EXPECT_EQ(task1_worker, 1u);
+  EXPECT_LE(stats.steals, 3u);
 }
 
 // The factory is invoked once per participating worker, with distinct ids.

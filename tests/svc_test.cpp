@@ -1,16 +1,26 @@
 // The verification service: JSON wire format, versioned state store,
 // scheduler policy, and a live server+client round trip on Figure 1.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "config/acl_format.h"
+#include "core/checker.h"
+#include "core/deploy.h"
 #include "gen/fixtures.h"
+#include "gen/scenario.h"
+#include "gen/wan.h"
+#include "smt/context.h"
 #include "svc/client.h"
 #include "svc/json.h"
 #include "svc/scheduler.h"
@@ -708,12 +718,13 @@ struct ScopedServer {
   std::string socket;
   std::unique_ptr<Server> server;
 
-  explicit ScopedServer(ServerOptions options, const std::string& tag) {
+  explicit ScopedServer(ServerOptions options, const std::string& tag,
+                        config::NetworkFile network = figure1_network()) {
     socket = (std::filesystem::temp_directory_path() /
               ("jinjing_svc_inc_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
                  .string();
     options.socket_path = socket;
-    server = std::make_unique<Server>(figure1_network(), options);
+    server = std::make_unique<Server>(std::move(network), options);
     server->start();
   }
 
@@ -1027,6 +1038,228 @@ TEST(BatchedServerTest, CoalesceOneDisablesBatchingEntirely) {
   const std::string metrics = client.call("metrics").at("prometheus").as_string();
   EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_batch_jobs_coalesced_total"), 0u);
   EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_batch_dispatches_total"), 0u);
+}
+
+// ------------------------------------- Served checks vs an SMT oracle
+
+config::NetworkFile wan_network(const gen::Wan& wan) {
+  config::NetworkFile network;
+  network.topo = wan.topo;
+  network.traffic = wan.traffic;
+  return network;
+}
+
+/// A pure check of `update` over the whole WAN, as a client ships it: the
+/// rewritten ACLs travel as printed bodies.
+CheckProgram wan_check_program(const gen::Wan& wan, const topo::AclUpdate& update) {
+  CheckProgram p;
+  p.program = "scope ";
+  for (topo::DeviceId d = 0; d < wan.topo.device_count(); ++d) {
+    if (d > 0) p.program += ", ";
+    p.program += wan.topo.device_name(d);
+  }
+  p.program += "\n";
+  std::size_t i = 0;
+  for (const auto& [slot, acl] : update) {
+    const std::string name = "acl_" + std::to_string(i++);
+    p.program += "modify " + wan.topo.qualified_name(slot.iface) +
+                 (slot.dir == topo::Dir::In ? "-in" : "-out") + " to " + name + "\n";
+    p.acls.emplace_back(name, config::print_acl(acl));
+  }
+  p.program += "check\n";
+  return p;
+}
+
+struct OracleAnswer {
+  bool consistent = false;
+  std::string plan;
+};
+
+/// The independent answer: the SMT checker (not the set algebra the server
+/// serves checks with) on the update as the server parses it off the wire.
+OracleAnswer smt_oracle(const gen::Wan& wan, const CheckProgram& p,
+                        const topo::AclUpdate& update) {
+  topo::AclUpdate parsed;
+  std::size_t i = 0;
+  for (const auto& [slot, acl] : update) {
+    parsed.emplace(slot, config::parse_acl_auto(p.acls[i++].second));
+  }
+  smt::SmtContext smt;
+  core::Checker checker{smt, wan.topo, wan.scope};
+  return {checker.check(parsed, wan.traffic, {}).consistent,
+          core::format_plan(wan.topo, parsed)};
+}
+
+class ServedCheckDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServedCheckDifferential, VerdictsAndPlansMatchTheSmtChecker) {
+  // coalesce 1: every check is a lone one-item scan; coalesce 16: the
+  // checks queue behind a blocker and run as one coalesced unit.
+  const std::size_t coalesce = GetParam();
+  const gen::Wan wan = gen::make_wan(gen::medium_wan());
+  std::vector<topo::AclUpdate> updates{{}};
+  for (unsigned seed = 1; seed <= 12; ++seed) {
+    updates.push_back(gen::perturb_rules(wan, 0.03, seed));
+  }
+  {
+    // A consistent rewrite that still touches obligations: one ACL with
+    // its first rule duplicated (first match makes the copy dead).
+    const topo::AclSlot slot = updates.back().begin()->first;
+    const net::Acl& acl = wan.topo.acl(slot);
+    std::vector<net::AclRule> rules{acl.rules().begin(), acl.rules().end()};
+    rules.insert(rules.begin(), rules.front());
+    topo::AclUpdate dup;
+    dup.emplace(slot, net::Acl{std::move(rules), acl.default_action()});
+    updates.push_back(std::move(dup));
+  }
+
+  ServerOptions options;
+  options.workers = 2;
+  options.coalesce = coalesce;
+  options.overlap = false;  // the blocker must hold the dispatch loop itself
+  ScopedServer scoped{options, "differential_" + std::to_string(coalesce),
+                      wan_network(wan)};
+  Client client{scoped.socket};
+
+  std::optional<std::uint64_t> blocker_id;
+  if (coalesce > 1) {
+    // A control-intent check is not coalescable and runs the SMT engine:
+    // the pure checks submitted behind it pile up into one unit.
+    std::string blocker = gen::control_open_program(wan, gen::control_open(wan, 1, 1));
+    const std::string generate = "generate\n";
+    ASSERT_TRUE(blocker.ends_with(generate));
+    blocker.replace(blocker.size() - generate.size(), generate.size(), "check\n");
+    blocker_id = submit_program(client, {blocker, {}});
+    wait_until_dispatcher_busy(*scoped.server, *blocker_id);
+  }
+
+  std::vector<CheckProgram> programs;
+  std::vector<std::uint64_t> ids;
+  for (const auto& update : updates) {
+    programs.push_back(wan_check_program(wan, update));
+    ids.push_back(submit_program(client, programs.back()));
+  }
+  if (blocker_id) {
+    EXPECT_EQ(wait_result(client, *blocker_id).at("status").at("state").as_string(), "done");
+  }
+
+  std::vector<Json> outcomes;
+  for (const std::uint64_t id : ids) {
+    const Json status = wait_result(client, id).at("status");
+    ASSERT_EQ(status.at("state").as_string(), "done") << status.dump();
+    outcomes.push_back(status.at("outcome"));
+  }
+  // Read before the oracle runs: its solver queries land in the same
+  // process-wide registry.
+  const std::string metrics = client.call("metrics").at("prometheus").as_string();
+  if (coalesce > 1) {
+    EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_batch_jobs_coalesced_total"), 2u);
+  } else {
+    EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_batch_jobs_coalesced_total"), 0u);
+    // Pure checks never reach the solver.
+    EXPECT_EQ(prometheus_counter(metrics, "jinjing_smt_queries_total"), 0u);
+  }
+
+  std::size_t consistent = 0;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const OracleAnswer oracle = smt_oracle(wan, programs[i], updates[i]);
+    EXPECT_EQ(outcomes[i].at("commands").as_array().front().at("consistent").as_bool(),
+              oracle.consistent)
+        << "update " << i;
+    EXPECT_EQ(outcomes[i].at("plan").as_string(), oracle.plan) << "update " << i;
+    consistent += oracle.consistent ? 1 : 0;
+  }
+  // Both verdicts occur, so neither side can pass by answering a constant.
+  EXPECT_GE(consistent, 2u);
+  EXPECT_LT(consistent, updates.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Coalesce, ServedCheckDifferential, ::testing::Values(1u, 16u),
+                         [](const auto& info) {
+                           return info.param == 1 ? std::string("Lone")
+                                                  : std::string("Coalesced");
+                         });
+
+TEST(BatchedServerTest, DeadlineInsideALoneCheckIsNeverASolverTimeout) {
+  // The first check after boot builds the plan and the algebra (tens of
+  // milliseconds on the medium WAN), so a 1 ms budget runs out before the
+  // scan completes — at dispatch or between obligations.
+  const gen::Wan wan = gen::make_wan(gen::medium_wan());
+  ServerOptions options;
+  options.workers = 2;
+  options.coalesce = 1;
+  ScopedServer scoped{options, "deadline_lone", wan_network(wan)};
+  Client client{scoped.socket};
+
+  const std::uint64_t doomed = submit_program(
+      client, wan_check_program(wan, gen::perturb_rules(wan, 0.03, 7)), std::uint64_t{1});
+  const Json status = wait_result(client, doomed).at("status");
+  EXPECT_EQ(status.at("state").as_string(), "failed") << status.dump();
+  const std::string error = status.at("outcome").at("error").as_string();
+  EXPECT_NE(error.find("deadline exceeded"), std::string::npos) << error;
+  EXPECT_EQ(error.find("solver timeout"), std::string::npos) << error;
+}
+
+// ------------------------------------------------------------ Framing
+
+TEST(ServerFramingTest, LargeSubmitInSmallPiecesIsParsedOnce) {
+  ServerOptions options;
+  options.workers = 1;
+  ScopedServer scoped{options, "framing"};
+
+  // A ~1 MB request line: an ACL body of many /24 denies, JSON-escaped.
+  std::string body;
+  for (int i = 0; body.size() < (1u << 20); ++i) {
+    body += "deny dst 10." + std::to_string((i >> 8) & 255) + "." + std::to_string(i & 255) +
+            ".0/24\n";
+  }
+  body += "permit all\n";
+  Json::Object acls;
+  acls.emplace("big", body);
+  Json::Object params;
+  params.emplace("program", std::string(kCheckOnly));
+  params.emplace("acls", Json{std::move(acls)});
+  Json::Object request;
+  request.emplace("id", std::uint64_t{1});
+  request.emplace("method", "submit");
+  request.emplace("params", Json{std::move(params)});
+  // A second request rides in the same final write as the end of the first.
+  const std::string wire = Json{std::move(request)}.dump() + "\n" +
+                           R"({"id": 2, "method": "info"})" + "\n";
+  ASSERT_GT(wire.size(), 1000000u);
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, scoped.socket.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  constexpr std::size_t kPiece = 1000;
+  for (std::size_t at = 0; at < wire.size(); at += kPiece) {
+    const std::size_t len = std::min(kPiece, wire.size() - at);
+    ASSERT_EQ(::send(fd, wire.data() + at, len, MSG_NOSIGNAL), static_cast<ssize_t>(len));
+  }
+  std::string replies;
+  char buf[4096];
+  while (std::count(replies.begin(), replies.end(), '\n') < 2) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "server closed before answering both requests";
+    replies.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+
+  const std::size_t nl = replies.find('\n');
+  const Json first = Json::parse(replies.substr(0, nl));
+  const Json second = Json::parse(replies.substr(nl + 1, replies.find('\n', nl + 1) - nl - 1));
+  EXPECT_EQ(first.at("id").as_u64(), 1u);
+  EXPECT_GE(first.at("result").at("job").as_u64(), 1u) << first.dump();
+  EXPECT_EQ(second.at("id").as_u64(), 2u);
+  EXPECT_EQ(second.at("result").at("head_version").as_u64(), 1u);
+  EXPECT_EQ(std::count(replies.begin(), replies.end(), '\n'), 2);
+
+  Client client{scoped.socket};
+  const std::string metrics = client.call("metrics").at("prometheus").as_string();
+  EXPECT_EQ(prometheus_counter(metrics, "jinjing_svc_jobs_submitted_total"), 1u);
 }
 
 // ------------------------------------------------- Leases & snapshot pins

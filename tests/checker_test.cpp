@@ -9,10 +9,16 @@ namespace {
 
 using gen::Figure1;
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included; the padding is spelled out as a zeroed member so the names (and
+// the ctest test list) are the same on every build and run.
 struct CheckerModes {
+  CheckerModes(bool d, smt::EncoderStrategy e) : differential{d}, encoder{e} {}
   bool differential;
+  char padding[3]{};
   smt::EncoderStrategy encoder;
 };
+static_assert(sizeof(CheckerModes) == 8, "CheckerModes must have no implicit padding");
 
 class CheckerAllModes : public ::testing::TestWithParam<CheckerModes> {
  protected:

@@ -43,11 +43,15 @@ bool oracle_consistent(const gen::Wan& wan, const topo::AclUpdate& update) {
 
 // The checker's verdict must equal the exact set-based oracle, in every
 // mode, across random WANs and random perturbations.
+// The trailing padding is a zeroed member: gtest prints the parameter's raw
+// bytes into each case name, and those must not vary between runs.
 struct CheckOracleCase {
   unsigned seed;
   bool differential;
   bool per_entry;
+  char padding[2]{};
 };
+static_assert(sizeof(CheckOracleCase) == 8, "CheckOracleCase must have no implicit padding");
 
 class CheckMatchesOracle : public ::testing::TestWithParam<CheckOracleCase> {};
 

@@ -1,5 +1,5 @@
 // Figure 4a: turnaround time of the check primitive — plus the
-// backend/cache comparison for the repeated-check workload.
+// seed-vs-cached comparison for the repeated-check workload.
 //
 // Two modes:
 //
@@ -18,25 +18,22 @@
 //      - hypercube_seed:  the seed pipeline (hypercube refinement re-derived
 //                         per check, fresh Z3 solver per query)
 //      - hypercube_cached: hypercube refinement + FecCache + incremental SMT
-//      - bdd_cached:       BDD refinement + FecCache + incremental SMT
 //
 //    Per configuration: wall seconds, FEC count, SMT queries, solver
-//    seconds, and the cache hit rate.
+//    seconds, and the cache hit rate. The JSON also records the
+//    versioned-churn refinement row and the observability overhead.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/checker.h"
 #include "core/diff.h"
-#include "core/engine.h"
 #include "obs/stats.h"
 #include "topo/fec_delta.h"
 
@@ -81,7 +78,6 @@ BENCHMARK(BM_Check)
 
 struct PipelineConfig {
   const char* name;
-  topo::SetBackend backend;
   bool incremental_smt;
   bool reuse_checker;  // false = seed behaviour: fresh checker (and cache) per check
 };
@@ -112,7 +108,6 @@ PipelineResult run_pipeline(const gen::Wan& wan, const std::vector<topo::AclUpda
   result.name = config.name;
 
   core::CheckOptions options;
-  options.set_backend = config.backend;
   options.incremental_smt = config.incremental_smt;
 
   smt::SmtContext smt;
@@ -146,69 +141,6 @@ PipelineResult run_pipeline(const gen::Wan& wan, const std::vector<topo::AclUpda
     result.cache_misses = reused.fec_cache().misses();
     result.cache_hit_rate = reused.fec_cache().hit_rate();
   }
-  return result;
-}
-
-/// The multi-intent batch workload: N independent update tasks pushed
-/// through one Engine — serially on a single-threaded engine, then via
-/// run_batch on the shared executor. The acceptance bar for the executor
-/// refactor is >= 1.5x throughput at N = 8.
-struct BatchResult {
-  std::size_t tasks = 0;
-  unsigned threads = 0;
-  double serial_seconds = 0;
-  double batch_seconds = 0;
-  double speedup = 0;
-  std::size_t inconsistent = 0;
-};
-
-BatchResult run_batch_workload(const gen::Wan& wan) {
-  BatchResult result;
-  std::vector<lai::UpdateTask> tasks;
-  for (unsigned seed = 1; seed <= 8; ++seed) {
-    lai::UpdateTask task;
-    task.scope = wan.scope;
-    task.modify = gen::perturb_rules(wan, 0.03, 100 + seed);
-    task.commands = {lai::Command::Check};
-    tasks.push_back(std::move(task));
-  }
-  result.tasks = tasks.size();
-  // Fan out over the real cores (capped at the task count). On a single-core
-  // host run_batch degenerates to the sequential loop, so the reported
-  // speedup stays honest instead of measuring oversubscription.
-  result.threads = std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
-
-  {
-    core::EngineOptions options;
-    options.check.threads = 1;
-    core::Engine serial{wan.topo, options};
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& task : tasks) {
-      const auto report = serial.run(task, wan.traffic);
-      if (!report.success()) ++result.inconsistent;
-    }
-    result.serial_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  }
-
-  {
-    core::EngineOptions options;
-    options.check.threads = result.threads;
-    core::Engine batch{wan.topo, options};
-    const auto start = std::chrono::steady_clock::now();
-    const auto reports = batch.run_batch(tasks, wan.traffic);
-    result.batch_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    std::size_t inconsistent = 0;
-    for (const auto& report : reports) {
-      if (!report.success()) ++inconsistent;
-    }
-    if (inconsistent != result.inconsistent) {
-      std::fprintf(stderr, "WARNING: batch verdicts diverge from serial (%zu vs %zu)\n",
-                   inconsistent, result.inconsistent);
-    }
-  }
-  result.speedup = result.batch_seconds > 0 ? result.serial_seconds / result.batch_seconds : 0;
   return result;
 }
 
@@ -267,15 +199,14 @@ ChurnResult run_churn_refinement(const gen::Wan& wan, std::size_t versions) {
     per_version.push_back(std::move(changed));
   }
 
-  const topo::FecOptions fec_options;
-  const auto base = topo::refine_into_atoms(wan.traffic, base_preds, fec_options);
+  const auto base = topo::refine_into_atoms(wan.traffic, base_preds);
 
   // Delta path: chain refine_delta across the versions.
   std::vector<net::PacketSet> delta_atoms = base;
   {
     const auto start = std::chrono::steady_clock::now();
     for (const auto& changed : per_version) {
-      auto step = topo::refine_delta(delta_atoms, changed, fec_options.backend);
+      auto step = topo::refine_delta(delta_atoms, changed);
       result.reused_atoms += step.reused;
       result.split_atoms += step.split;
       delta_atoms = std::move(step.atoms);
@@ -291,7 +222,7 @@ ChurnResult run_churn_refinement(const gen::Wan& wan, std::size_t versions) {
     const auto start = std::chrono::steady_clock::now();
     for (const auto& changed : per_version) {
       predicates.insert(predicates.end(), changed.begin(), changed.end());
-      scratch_atoms = topo::refine_into_atoms(wan.traffic, predicates, fec_options);
+      scratch_atoms = topo::refine_into_atoms(wan.traffic, predicates);
     }
     result.scratch_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -347,9 +278,8 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
   }
 
   const PipelineConfig configs[] = {
-      {"hypercube_seed", topo::SetBackend::Hypercube, false, false},
-      {"hypercube_cached", topo::SetBackend::Hypercube, true, true},
-      {"bdd_cached", topo::SetBackend::Bdd, true, true},
+      {"hypercube_seed", false, false},
+      {"hypercube_cached", true, true},
   };
 
   // Observability overhead: the cached-pipeline workload with no registry
@@ -390,11 +320,6 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
                  r.cache_hit_rate);
   }
 
-  const auto batch = run_batch_workload(wan);
-  std::fprintf(stderr, "  batch x%zu (%u threads): serial %.3fs, batch %.3fs, speedup %.2fx\n",
-               batch.tasks, batch.threads, batch.serial_seconds, batch.batch_seconds,
-               batch.speedup);
-
   const auto churn = run_churn_refinement(wan, 8);
   std::fprintf(stderr,
                "  churn x%zu: delta %.3fs, scratch %.3fs, speedup %.2fx, "
@@ -430,11 +355,6 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
-               "  \"batch\": {\"tasks\": %zu, \"threads\": %u, \"serial_seconds\": %.6f, "
-               "\"batch_seconds\": %.6f, \"speedup\": %.2f},\n",
-               batch.tasks, batch.threads, batch.serial_seconds, batch.batch_seconds,
-               batch.speedup);
-  std::fprintf(out,
                "  \"churn_refinement\": {\"versions\": %zu, \"base_predicates\": %zu, "
                "\"final_atoms\": %zu, \"delta_seconds\": %.6f, \"scratch_seconds\": %.6f, "
                "\"speedup\": %.2f, \"reused_atoms\": %llu, \"split_atoms\": %llu, "
@@ -449,7 +369,7 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
                "\"overhead_pct\": %.2f}\n}\n",
                disabled_seconds, enabled_seconds, overhead_pct);
   std::fclose(out);
-  std::fprintf(stderr, "wrote %s (bdd_cached speedup vs seed: %.2fx)\n", json_path,
+  std::fprintf(stderr, "wrote %s (hypercube_cached speedup vs seed: %.2fx)\n", json_path,
                baseline / results.back().wall_seconds);
 
   if (trace_path != nullptr) {
@@ -474,7 +394,7 @@ int run_repeated_check_comparison(const char* json_path, const char* trace_path)
 
 int main(int argc, char** argv) {
   // Any --benchmark* flag selects the google-benchmark grid; the bare
-  // invocation runs the backend/cache comparison and writes JSON.
+  // invocation runs the seed/cached comparison and writes JSON.
   bool run_gbench = false;
   const char* json_path = "BENCH_check.json";
   const char* trace_path = nullptr;

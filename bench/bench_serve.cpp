@@ -13,7 +13,9 @@
 //
 //  * Coalesce sweep: the same deep-queue workload at fixed workers with
 //    --coalesce 1 (batching off) up to 64 — isolates how much of the
-//    depth scaling is the batch path itself.
+//    depth scaling is the batch path itself. Every cell also records its
+//    server's coalesced-job count and mean batch size, so the JSON shows
+//    that the coalesced cells really formed multi-job batches.
 //
 //  * Warm vs cold: the same job stream run through the resident server
 //    (shared FecCache, network already loaded) versus a fresh engine and
@@ -59,6 +61,7 @@
 #include "core/engine.h"
 #include "gen/scenario.h"
 #include "gen/wan.h"
+#include "obs/stats.h"
 #include "replica/replica.h"
 #include "svc/client.h"
 #include "svc/server.h"
@@ -290,6 +293,11 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> coalesce_values{1, 8, 32, 64};
   unsigned sweep_workers = 4;
   std::size_t sweep_depth = 64;
+  // The sweep compares throughput across coalesce values, so each cell runs
+  // long enough to be more than scheduler noise: with 64 jobs a small-WAN
+  // cell lasted ~50 ms and one configuration measured 750 to 1185 jobs/s
+  // from run to run on a 4-vCPU host.
+  std::size_t sweep_jobs = 1024;
   std::size_t min_jobs = 24;
   std::size_t warm_rounds = 6, warm_jobs = 16, warm_depth = 8;
   std::size_t churn_rounds = 3;
@@ -301,6 +309,7 @@ int main(int argc, char** argv) {
     coalesce_values = {1, 8, 32};
     sweep_workers = 2;
     sweep_depth = 32;
+    sweep_jobs = 512;
     min_jobs = 8;
     warm_rounds = 4;
     warm_jobs = 8;
@@ -335,16 +344,19 @@ int main(int argc, char** argv) {
     unsigned workers = 0;
     std::size_t coalesce = 0;
     DepthResult result;
+    // The cell server's batch counters: jobs that ran in coalesced units,
+    // and the mean jobs per coalesced unit.
+    std::uint64_t batch_jobs_coalesced = 0;
+    double batch_size_mean = 0;
   };
   const auto run_cell = [&](unsigned workers, std::size_t coalesce, std::size_t depth,
-                            unsigned seed_base) {
+                            std::size_t job_count, unsigned seed_base) {
     auto cell_server = make_server(socket_path, workers, coalesce, 16);
     cell_server->start();
     {
       svc::Client warmup{socket_path};
       (void)run_job(warmup, make_workload(wan, 9999));
     }
-    const std::size_t job_count = std::max<std::size_t>(min_jobs, depth * 2);
     std::vector<Workload> workloads;
     for (std::size_t j = 0; j < job_count; ++j) {
       workloads.push_back(make_workload(wan, seed_base + static_cast<unsigned>(j) + 1));
@@ -353,6 +365,11 @@ int main(int argc, char** argv) {
     cell.workers = workers;
     cell.coalesce = coalesce;
     cell.result = run_depth({socket_path}, depth, workloads);
+    const auto& registry = cell_server->registry();
+    cell.batch_jobs_coalesced = registry.total(obs::Counter::SvcBatchJobsCoalesced);
+    const auto sizes = registry.histogram(obs::Histogram::SvcBatchSize);
+    cell.batch_size_mean =
+        sizes.count > 0 ? static_cast<double>(sizes.sum) / static_cast<double>(sizes.count) : 0;
     cell_server->request_shutdown();
     cell_server->wait();
     cell_server.reset();
@@ -367,7 +384,7 @@ int main(int argc, char** argv) {
   std::vector<MatrixCell> matrix;
   for (const unsigned workers : worker_counts) {
     for (const std::size_t depth : depths) {
-      matrix.push_back(run_cell(workers, 32, depth,
+      matrix.push_back(run_cell(workers, 32, depth, std::max<std::size_t>(min_jobs, depth * 2),
                                 workers * 100000 + static_cast<unsigned>(depth) * 1000));
       const auto& r = matrix.back().result;
       std::fprintf(stderr,
@@ -379,11 +396,13 @@ int main(int argc, char** argv) {
   // ---- Coalesce sweep at a fixed deep queue: batching off (1) up to 64.
   std::vector<MatrixCell> coalesce_sweep;
   for (const std::size_t coalesce : coalesce_values) {
-    coalesce_sweep.push_back(run_cell(sweep_workers, coalesce, sweep_depth,
+    coalesce_sweep.push_back(run_cell(sweep_workers, coalesce, sweep_depth, sweep_jobs,
                                       900000 + static_cast<unsigned>(coalesce) * 1000));
     const auto& r = coalesce_sweep.back().result;
-    std::fprintf(stderr, "  coalesce %-3zu (workers %u, depth %zu) %6.2f jobs/s\n",
-                 coalesce, sweep_workers, sweep_depth, r.jobs_per_sec);
+    std::fprintf(stderr,
+                 "  coalesce %-3zu (workers %u, depth %zu) %6.2f jobs/s  batch mean %.2f\n",
+                 coalesce, sweep_workers, sweep_depth, r.jobs_per_sec,
+                 coalesce_sweep.back().batch_size_mean);
   }
 
   // ---- Transport: the same deep-queue burst through the Unix socket and
@@ -665,9 +684,11 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"workers\": %u, \"depth\": %zu, \"jobs\": %zu, "
                  "\"wall_seconds\": %.6f, \"jobs_per_sec\": %.3f, \"p50_ms\": %.3f, "
-                 "\"p99_ms\": %.3f}%s\n",
+                 "\"p99_ms\": %.3f, \"batch_jobs_coalesced\": %llu, "
+                 "\"batch_size_mean\": %.2f}%s\n",
                  cell.workers, r.depth, r.jobs, r.wall_seconds, r.jobs_per_sec, r.p50_ms,
-                 r.p99_ms, i + 1 < matrix.size() ? "," : "");
+                 r.p99_ms, static_cast<unsigned long long>(cell.batch_jobs_coalesced),
+                 cell.batch_size_mean, i + 1 < matrix.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"coalesce_sweep\": {\"workers\": %u, \"depth\": %zu, \"entries\": [\n",
@@ -676,10 +697,12 @@ int main(int argc, char** argv) {
     const auto& cell = coalesce_sweep[i];
     std::fprintf(out,
                  "    {\"coalesce\": %zu, \"jobs\": %zu, \"jobs_per_sec\": %.3f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
+                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"batch_jobs_coalesced\": %llu, "
+                 "\"batch_size_mean\": %.2f}%s\n",
                  cell.coalesce, cell.result.jobs, cell.result.jobs_per_sec,
                  cell.result.p50_ms, cell.result.p99_ms,
-                 i + 1 < coalesce_sweep.size() ? "," : "");
+                 static_cast<unsigned long long>(cell.batch_jobs_coalesced),
+                 cell.batch_size_mean, i + 1 < coalesce_sweep.size() ? "," : "");
   }
   std::fprintf(out, "  ]},\n");
   std::fprintf(out, "  \"transport\": {\"workers\": %u, \"depth\": %zu, \"entries\": [\n",

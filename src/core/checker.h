@@ -55,11 +55,6 @@ struct CheckOptions {
   /// which is the byte-deterministic mode). Ignored for execution when an
   /// explicit `executor` is installed.
   unsigned threads = 1;
-  /// Exact set representation backing equivalence-class refinement
-  /// (topo::FecOptions::backend). Both backends produce the same partition;
-  /// the BDD backend refines atoms as decision-diagram nodes and converts
-  /// to PacketSet only at the SMT-encoding boundary.
-  topo::SetBackend set_backend = topo::SetBackend::Hypercube;
   /// One incremental Z3 solver per session, with push()/pop() around each
   /// per-FEC query, so path-decision assertions are encoded once per
   /// session instead of once per query. Off = a fresh solver per query
@@ -259,9 +254,9 @@ class Checker {
   /// Paths whose forwarding predicates can carry `traffic` (the set Y).
   [[nodiscard]] std::vector<std::size_t> feasible_paths(const net::PacketSet& traffic) const;
 
-  /// Per-entry classes of `entering` under this checker's scope, derived
-  /// with the configured backend and served from the FEC cache (classes do
-  /// not depend on the update, so candidate loops hit).
+  /// Per-entry classes of `entering` under this checker's scope, served
+  /// from the FEC cache (classes do not depend on the update, so candidate
+  /// loops hit).
   [[nodiscard]] std::shared_ptr<const std::vector<topo::EntryClasses>> entry_classes(
       const net::PacketSet& entering);
 
@@ -274,9 +269,7 @@ class Checker {
  private:
   friend class CheckSession;
 
-  [[nodiscard]] topo::FecOptions fec_options() const {
-    return topo::FecOptions{options_.set_backend, options_.threads};
-  }
+  [[nodiscard]] topo::FecOptions fec_options() const { return topo::FecOptions{options_.threads}; }
 
   [[nodiscard]] const std::vector<net::PacketSet>& path_forwarding() const {
     return adopted_ ? adopted_->path_forwarding : path_forwarding_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/stats.h"
-
 namespace jinjing::net {
 
 namespace {
@@ -33,7 +31,6 @@ BddManager::Node BddManager::make(unsigned level, Node lo, Node hi) {
   const Node node = static_cast<Node>(nodes_.size());
   nodes_.push_back(NodeData{level, lo, hi});
   unique_.emplace(key, node);
-  obs::gauge_max(obs::Gauge::BddNodes, nodes_.size());
   return node;
 }
 
@@ -48,11 +45,7 @@ BddManager::Node BddManager::land(Node a, Node b) {
 
   const std::uint64_t key = pair_key(a, b);
   const auto it = and_memo_.find(key);
-  if (it != and_memo_.end()) {
-    obs::count(obs::Counter::BddMemoHits);
-    return it->second;
-  }
-  obs::count(obs::Counter::BddMemoMisses);
+  if (it != and_memo_.end()) return it->second;
 
   // Copy: recursive make() calls may reallocate nodes_.
   const NodeData na = nodes_[a];
@@ -71,11 +64,7 @@ BddManager::Node BddManager::lnot(Node a) {
   if (a == kFalse) return kTrue;
   if (a == kTrue) return kFalse;
   const auto it = not_memo_.find(a);
-  if (it != not_memo_.end()) {
-    obs::count(obs::Counter::BddMemoHits);
-    return it->second;
-  }
-  obs::count(obs::Counter::BddMemoMisses);
+  if (it != not_memo_.end()) return it->second;
   const NodeData n = nodes_[a];  // copy: recursion may reallocate nodes_
   const Node result = make(n.level, lnot(n.lo), lnot(n.hi));
   not_memo_.emplace(a, result);

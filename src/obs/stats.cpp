@@ -30,12 +30,12 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "smt_queries",          "smt_queries_cached",    "smt_timeouts",
     "smt_frame_reuses",     "smt_sessions_built",    "smt_optimize_queries",
     "plan_builds",          "plan_cache_hits",       "fec_cache_hits",
-    "fec_cache_misses",     "bdd_memo_hits",         "bdd_memo_misses",
-    "obligations_planned",  "obligations_executed",  "obligations_cancelled",
-    "obligations_skipped",  "executor_runs",         "executor_tasks",
-    "executor_steals",      "svc_jobs_submitted",    "svc_jobs_rejected",
-    "svc_jobs_cancelled",   "svc_jobs_done",         "svc_jobs_failed",
-    "svc_applies",          "delta_cache_hits",      "delta_cache_misses",
+    "fec_cache_misses",     "obligations_planned",   "obligations_executed",
+    "obligations_cancelled",                         "obligations_skipped",
+    "executor_runs",        "executor_tasks",        "executor_steals",
+    "svc_jobs_submitted",   "svc_jobs_rejected",     "svc_jobs_cancelled",
+    "svc_jobs_done",        "svc_jobs_failed",       "svc_applies",
+    "delta_cache_hits",     "delta_cache_misses",
     "delta_cache_invalidations",                     "delta_cache_rebases",
     "svc_batch_dispatches", "svc_batch_jobs_coalesced",
     "svc_batch_algebra_builds",                      "svc_leases_granted",
@@ -46,7 +46,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
 };
 
 constexpr std::array<std::string_view, kGaugeCount> kGaugeNames = {
-    "bdd_nodes",
     "svc_cached_obligations",
 };
 

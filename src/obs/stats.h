@@ -25,8 +25,6 @@ enum class Counter : std::size_t {
   PlanCacheHits,        // Checker::plan() reuses (same entering set)
   FecCacheHits,         // topo::FecCache lookups served from memo
   FecCacheMisses,       // topo::FecCache lookups that derived classes
-  BddMemoHits,          // BddManager and/not memo-table hits
-  BddMemoMisses,        // BddManager and/not memo-table misses
   ObligationsPlanned,   // obligations materialized into VerifyPlans
   ObligationsExecuted,  // obligations actually solved by the executor
   ObligationsCancelled, // obligations skipped by early-exit cancellation
@@ -57,14 +55,13 @@ enum class Counter : std::size_t {
   FecDeltaReusedAtoms,  // partition atoms carried across a version delta unchanged
   FecDeltaRebuilds,     // delta refinements abandoned for a from-scratch rebuild
 };
-inline constexpr std::size_t kCounterCount = 41;
+inline constexpr std::size_t kCounterCount = 39;
 
 // Gauges track a high-water mark (set_max semantics).
 enum class Gauge : std::size_t {
-  BddNodes,              // peak node count across live BddManagers
   SvcCachedObligations,  // peak obligations held by the incremental planner
 };
-inline constexpr std::size_t kGaugeCount = 2;
+inline constexpr std::size_t kGaugeCount = 1;
 
 // Histograms use power-of-two buckets: bucket i counts values whose bit
 // width is i, i.e. cumulative(le = 2^i - 1) is exact.

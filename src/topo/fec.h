@@ -3,32 +3,18 @@
 // Two packets are forwarding-equivalent when every forwarding predicate
 // g ∈ G_Ω treats them identically. The FECs of the traffic entering Ω are
 // the atoms of {g_{i,j}} restricted to that traffic, computed exactly by
-// successive packet-set refinement.
-//
-// Refinement is backed by one of two exact set representations (FecOptions::
-// backend): unions of disjoint hypercubes (PacketSet) or reduced ordered
-// BDDs (net::BddManager). The BDD backend refines atoms as BDD nodes —
-// intersection/difference with memoized node operations, O(1) emptiness —
-// and converts to PacketSet only when handing classes to the SMT boundary.
-// Both backends produce the same partition (property-tested).
+// successive packet-set refinement over unions of disjoint hypercubes
+// (PacketSet). fec_test checks every partition against an oracle that
+// decides set equality on BDDs and shares no code with the refiners.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "topo/topology.h"
 
 namespace jinjing::topo {
 
-/// Which exact set representation backs atom refinement.
-enum class SetBackend : std::uint8_t { Hypercube, Bdd };
-
-[[nodiscard]] constexpr std::string_view to_string(SetBackend b) {
-  return b == SetBackend::Hypercube ? "hypercube" : "bdd";
-}
-
 struct FecOptions {
-  SetBackend backend = SetBackend::Hypercube;
   /// Worker threads for refinement (1 = sequential). Within one refinement
   /// the predicate list is split into groups refined concurrently and the
   /// group partitions merged by pairwise intersection (an exact identity:

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "gen/fixtures.h"
+#include "gen/scenario.h"
+#include "gen/wan.h"
 
 namespace jinjing::core {
 namespace {
@@ -283,6 +285,45 @@ TEST(CheckerMonolithic, AgreesWithClassifiedVerdicts) {
                                    "deny dst 2.0.0.0/8", "permit all"}));
   EXPECT_TRUE(checker.check_monolithic(rewrite, f.traffic).consistent);
 }
+
+// The incremental Z3 session (one solver, push/pop per query) and the
+// fresh-solver-per-query baseline must reach the same verdicts.
+class CheckerSolverModes : public ::testing::TestWithParam<bool> {
+ protected:
+  CheckOptions options() const {
+    CheckOptions o;
+    o.incremental_smt = GetParam();
+    return o;
+  }
+};
+
+TEST_P(CheckerSolverModes, AgreesWithSeedPipelineOnFigure1) {
+  const auto f = gen::make_figure1();
+  smt::SmtContext smt;
+  auto o = options();
+  o.stop_at_first = false;
+  Checker checker{smt, f.topo, f.scope, o};
+  EXPECT_TRUE(checker.check({}, f.traffic).consistent);
+  const auto result = checker.check(f.running_example_update(), f.traffic);
+  EXPECT_FALSE(result.consistent);
+  EXPECT_EQ(result.violations.size(), 2u);  // FECs {1} and {2,3}
+  EXPECT_EQ(result.fec_count, 5u);
+}
+
+TEST_P(CheckerSolverModes, AgreesOnWanScenario) {
+  const auto wan = gen::make_wan(gen::small_wan());
+  smt::SmtContext smt;
+  Checker checker{smt, wan.topo, wan.scope, options()};
+  EXPECT_TRUE(checker.check({}, wan.traffic).consistent);
+  // §7 Scenario 2 (ingress→egress ACL relocation) breaks intra-cell
+  // reachability; both solver modes must flag it.
+  EXPECT_FALSE(checker.check(gen::ingress_to_egress_update(wan), wan.traffic).consistent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, CheckerSolverModes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "incremental" : "fresh");
+                         });
 
 }  // namespace
 }  // namespace jinjing::core

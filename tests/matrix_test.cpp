@@ -1,6 +1,6 @@
-// Randomized cross-backend matrix: the checker and fixer must produce the
+// Randomized configuration matrix: the checker and fixer must produce the
 // same verdicts — validated against the exact header-space oracle — across
-// every combination of set backend, thread count and SMT incrementality,
+// every combination of thread count and SMT incrementality,
 // and the observability counters must be consistent with the options that
 // produced them. Registered with the "slow" ctest label.
 #include <gtest/gtest.h>
@@ -19,30 +19,17 @@ namespace jinjing {
 namespace {
 
 struct MatrixConfig {
-  topo::SetBackend backend;
   unsigned threads;
   bool incremental;
 };
 
 std::string to_string(const MatrixConfig& config) {
-  return std::string(topo::to_string(config.backend)) + "/t" +
-         std::to_string(config.threads) +
+  return "t" + std::to_string(config.threads) +
          (config.incremental ? "/incremental" : "/fresh-solver");
 }
 
-constexpr std::array<MatrixConfig, 12> kMatrix = {{
-    {topo::SetBackend::Hypercube, 1, true},
-    {topo::SetBackend::Hypercube, 2, true},
-    {topo::SetBackend::Hypercube, 8, true},
-    {topo::SetBackend::Hypercube, 1, false},
-    {topo::SetBackend::Hypercube, 2, false},
-    {topo::SetBackend::Hypercube, 8, false},
-    {topo::SetBackend::Bdd, 1, true},
-    {topo::SetBackend::Bdd, 2, true},
-    {topo::SetBackend::Bdd, 8, true},
-    {topo::SetBackend::Bdd, 1, false},
-    {topo::SetBackend::Bdd, 2, false},
-    {topo::SetBackend::Bdd, 8, false},
+constexpr std::array<MatrixConfig, 6> kMatrix = {{
+    {1, true}, {2, true}, {8, true}, {1, false}, {2, false}, {8, false},
 }};
 
 gen::WanParams matrix_wan(unsigned seed) {
@@ -76,7 +63,6 @@ core::CheckOptions check_options(const MatrixConfig& config) {
   core::CheckOptions options;
   options.stop_at_first = false;
   options.threads = config.threads;
-  options.set_backend = config.backend;
   options.incremental_smt = config.incremental;
   return options;
 }
@@ -127,16 +113,6 @@ TEST_P(FullMatrixSweep, VerdictsAgreeAndCountersMatchOptions) {
                 total(obs::Counter::SmtQueries));
     } else {
       EXPECT_EQ(total(obs::Counter::SmtQueriesCached), 0u);
-    }
-    if (config.backend == topo::SetBackend::Hypercube) {
-      EXPECT_EQ(total(obs::Counter::BddMemoHits), 0u);
-      EXPECT_EQ(total(obs::Counter::BddMemoMisses), 0u);
-      EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), 0u);
-    } else {
-      EXPECT_GT(total(obs::Counter::BddMemoHits) +
-                    total(obs::Counter::BddMemoMisses),
-                0u);
-      EXPECT_GT(registry.gauge(obs::Gauge::BddNodes), 0u);
     }
     if (config.threads == 1) {
       EXPECT_EQ(total(obs::Counter::ExecutorSteals), 0u);

@@ -52,7 +52,7 @@ TEST(StatsRegistry, CountersAreExactUnderConcurrency) {
         obs::count(obs::Counter::ExecutorTasks, 3);
         obs::observe(obs::Histogram::SmtSolveMicros,
                      static_cast<std::uint64_t>(i % 16));
-        obs::gauge_max(obs::Gauge::BddNodes, static_cast<std::uint64_t>(i));
+        obs::gauge_max(obs::Gauge::SvcCachedObligations, static_cast<std::uint64_t>(i));
       }
     });
   }
@@ -63,7 +63,7 @@ TEST(StatsRegistry, CountersAreExactUnderConcurrency) {
   EXPECT_EQ(registry.total(obs::Counter::ExecutorTasks),
             std::uint64_t{3} * kThreads * kPerThread);
   EXPECT_EQ(registry.total(obs::Counter::SmtTimeouts), 0u);
-  EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), std::uint64_t{kPerThread - 1});
+  EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), std::uint64_t{kPerThread - 1});
 
   std::uint64_t per_thread_sum = 0;
   for (int i = 0; i < kPerThread; ++i) per_thread_sum += i % 16;
@@ -100,11 +100,11 @@ TEST(StatsRegistry, HistogramBucketsArePowerOfTwo) {
 
 TEST(StatsRegistry, GaugeKeepsHighWaterMark) {
   obs::StatsRegistry registry;
-  registry.set_max(obs::Gauge::BddNodes, 10);
-  registry.set_max(obs::Gauge::BddNodes, 4);
-  EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), 10u);
-  registry.set_max(obs::Gauge::BddNodes, 11);
-  EXPECT_EQ(registry.gauge(obs::Gauge::BddNodes), 11u);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 10);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 4);
+  EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), 10u);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 11);
+  EXPECT_EQ(registry.gauge(obs::Gauge::SvcCachedObligations), 11u);
 }
 
 TEST(TraceSpan, NestedSpansAreContained) {
@@ -211,7 +211,7 @@ TEST(DisabledPath, NoRegistryMeansNoCountsAndNoAllocations) {
   for (int i = 0; i < 1000; ++i) {
     obs::count(obs::Counter::SmtQueries);
     obs::count(obs::Counter::ExecutorSteals, 7);
-    obs::gauge_max(obs::Gauge::BddNodes, 123);
+    obs::gauge_max(obs::Gauge::SvcCachedObligations, 123);
     obs::observe(obs::Histogram::SmtSolveMicros, 55);
     const obs::TraceSpan span{obs::Span::SmtQuery};
   }
@@ -221,7 +221,7 @@ TEST(DisabledPath, NoRegistryMeansNoCountsAndNoAllocations) {
 TEST(Exports, PrometheusTextFormat) {
   obs::StatsRegistry registry;
   registry.add(obs::Counter::SmtQueries, 5);
-  registry.set_max(obs::Gauge::BddNodes, 17);
+  registry.set_max(obs::Gauge::SvcCachedObligations, 17);
   registry.observe(obs::Histogram::SmtSolveMicros, 3);
   registry.observe(obs::Histogram::SmtSolveMicros, 9);
 
@@ -233,7 +233,8 @@ TEST(Exports, PrometheusTextFormat) {
                       "jinjing_smt_queries_total 5\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE jinjing_bdd_nodes gauge\njinjing_bdd_nodes 17\n"),
+  EXPECT_NE(text.find("# TYPE jinjing_svc_cached_obligations gauge\n"
+                      "jinjing_svc_cached_obligations 17\n"),
             std::string::npos);
   // Cumulative buckets: le="3" sees the 3, le="15" sees both observations.
   EXPECT_NE(text.find("jinjing_smt_solve_micros_bucket{le=\"3\"} 1\n"),

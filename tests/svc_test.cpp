@@ -899,27 +899,18 @@ std::vector<CheckProgram> equivalence_matrix() {
   };
 }
 
-class BatchedServerEquivalence : public ::testing::TestWithParam<topo::SetBackend> {
- protected:
-  static ServerOptions with_backend(unsigned workers, std::size_t coalesce) {
-    ServerOptions options;
-    options.workers = workers;
-    options.coalesce = coalesce;
-    // These tests park a fix job in the dispatcher so the checks behind it
-    // provably coalesce; the overlap slot would run the fix on the side and
-    // drain the queue one by one instead. Overlap has its own test below.
-    options.overlap = false;
-    options.engine.check.set_backend = GetParam();
-    options.engine.fix.check.set_backend = GetParam();
-    return options;
-  }
-  static std::string tag(const char* prefix) {
-    return std::string(prefix) +
-           (GetParam() == topo::SetBackend::Bdd ? "_bdd" : "_hypercube");
-  }
-};
+ServerOptions without_overlap(unsigned workers, std::size_t coalesce) {
+  ServerOptions options;
+  options.workers = workers;
+  options.coalesce = coalesce;
+  // These tests park a fix job in the dispatcher so the checks behind it
+  // provably coalesce; the overlap slot would run the fix on the side and
+  // drain the queue one by one instead. Overlap has its own test below.
+  options.overlap = false;
+  return options;
+}
 
-TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
+TEST(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   // The batched server coalesces everything queued behind a slow fix job;
   // the oracle server (workers=1, coalesce=1) runs the same programs one
   // engine at a time. A cancellation lands mid-batch, and an apply advances
@@ -929,8 +920,8 @@ TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
   // so the batched server comes second: its metrics endpoint then reflects
   // everything both servers record, and the oracle (coalesce=1) never
   // touches the batch counters.
-  ScopedServer oracle{with_backend(1, 1), tag("oracle")};
-  ScopedServer batched{with_backend(2, 16), tag("batched")};
+  ScopedServer oracle{without_overlap(1, 1), "oracle"};
+  ScopedServer batched{without_overlap(2, 16), "batched"};
   Client batched_client{batched.socket};
   Client oracle_client{oracle.socket};
 
@@ -983,10 +974,6 @@ TEST_P(BatchedServerEquivalence, CoalescedBatchMatchesSequentialOracle) {
       << metrics;
   EXPECT_GE(prometheus_counter(metrics, "jinjing_svc_batch_dispatches_total"), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, BatchedServerEquivalence,
-                         ::testing::Values(topo::SetBackend::Hypercube,
-                                           topo::SetBackend::Bdd));
 
 TEST(BatchedServerTest, DeadlineInsideCoalescedBatchGetsQueuedDiagnostic) {
   // A job whose deadline expires while it waits behind a slow blocker —
